@@ -47,7 +47,20 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-CritPathReport analyze_critical_path(const TraceDump& dump) {
+CritPathReport analyze_critical_path(const TraceDump& in) {
+  // Inbox drains and parks are scheduler bookkeeping, not causal steps. A
+  // receiver's drain always falls between a message's send and its receipt,
+  // so as a program-order predecessor it would hide every network hop: the
+  // walk runs on the dump without them.
+  const auto bookkeeping = [](const TraceEvent& e) {
+    return e.rec.kind == TraceKind::InboxDrain || e.rec.kind == TraceKind::Park;
+  };
+  if (std::any_of(in.events.begin(), in.events.end(), bookkeeping)) {
+    TraceDump causal = in;
+    std::erase_if(causal.events, bookkeeping);
+    return analyze_critical_path(causal);
+  }
+  const TraceDump& dump = in;
   CritPathReport rep;
   const std::size_t n_ev = dump.events.size();
   if (n_ev == 0) return rep;

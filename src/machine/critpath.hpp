@@ -97,9 +97,10 @@ struct CritPathReport {
   std::vector<CritEdgeRow> edges;       ///< sorted by us descending
 };
 
-/// Extracts the critical path from a trace dump. Robust to rings that dropped
-/// records: a recv whose send was overwritten simply has no causal
-/// predecessor, so the walk continues in program order.
+/// Extracts the critical path from a trace dump, ignoring InboxDrain and Park
+/// records. Robust to rings that dropped records: a recv whose send was
+/// overwritten simply has no causal predecessor, so the walk continues in
+/// program order.
 CritPathReport analyze_critical_path(const TraceDump& dump);
 
 /// Machine-readable report: {"tool":"concert-insight","analysis":"critpath",

@@ -222,8 +222,8 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
   for (const auto& [name, value] : counters) out.add_counter(name, "", value);
 
   // concert-insight: merged queue-depth health samples plus a load-skew
-  // gauge (max/mean of per-node mean live contexts). Empty unless the
-  // flight recorder was on and an engine took samples.
+  // gauge (max/mean of per-node mean live contexts). Empty until an engine
+  // has taken samples.
   {
     Histogram ready_h;
     Histogram outbox_h;

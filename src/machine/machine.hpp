@@ -40,12 +40,18 @@ struct MachineConfig {
   CostModel costs = CostModel::workstation();
   ExecMode mode = ExecMode::Hybrid3;
   FallbackPolicy policy = FallbackPolicy::RevertToParallel;
-  /// Record scheduler-level events for chrome://tracing / Perfetto export.
+  /// Selects the traced preset of every node's event ring (trace.hpp) for
+  /// chrome://tracing / Perfetto export and critical-path analysis: records
+  /// gain wall-clock stamps and causal flow ids. Off, the ring still keeps
+  /// the newest 256 scheduler events per node for POSTMORTEM.json, reading
+  /// no wall clock. Either way the ring stays outside the cost model, so
+  /// simulated clocks and the paper tables are bit-identical (test-guarded).
   bool trace = false;
-  /// Per-node trace ring capacity, in records. When a node's ring fills, the
-  /// oldest records are overwritten and counted as dropped (surfaced in the
-  /// export metadata and NodeStats::msgs_dropped_trace) — long traced runs
-  /// keep the newest window instead of growing without bound.
+  /// Per-node trace ring capacity under `trace`, in records. When a node's
+  /// ring fills, the oldest records are overwritten and counted as dropped
+  /// (surfaced in the export metadata and NodeStats::msgs_dropped_trace) —
+  /// long traced runs keep the newest window instead of growing without
+  /// bound.
   std::size_t trace_capacity = std::size_t{1} << 20;
   /// concert-scope latency/queue-depth histograms: per-method invocation
   /// latency, inbox depth at drain, context lifetime, outbox flush size.
@@ -110,19 +116,6 @@ struct MachineConfig {
   /// 0 (default) disables the watchdog; every pre-existing run, clock and
   /// paper table is bit-identical with it off.
   std::uint64_t stall_timeout = 0;
-  /// Flight recorder (concert-insight): a tiny fixed-capacity per-node ring
-  /// of coarse scheduler events (dispatch, delivery, suspend/resume, drains,
-  /// flushes, waves, parks) plus periodic queue-depth health samples — the
-  /// lightweight always-on complement to the full tracer. ON by default:
-  /// recording is one branch plus a masked store, reads no wall clock, and
-  /// stays outside the cost model, so simulated clocks and the paper tables
-  /// are bit-identical with it on or off (test-guarded) and the wall-clock
-  /// cost is within noise (CI-guarded against the throughput floors). The
-  /// ring feeds POSTMORTEM.json when a stall or panic ends the run.
-  bool flight_recorder = true;
-  /// Flight-recorder ring capacity per node, in records (rounded up to a
-  /// power of two, minimum 16).
-  std::size_t flight_capacity = 256;
   /// Per-call-site profiler (concert-insight): per declared call edge
   /// (caller method -> callee method) invocation / NB-hit / fallback /
   /// divert counters and log2 stack-latency histograms, recorded on the
@@ -132,7 +125,7 @@ struct MachineConfig {
   /// Exported through MetricsRegistry and write_sites_json (SITES_*.json).
   bool profile_sites = false;
   /// Where the stall watchdog and the engines' panic paths write the
-  /// machine-readable postmortem (flight rings, queue depths, suspended-
+  /// machine-readable postmortem (event rings, queue depths, suspended-
   /// context chains, vclock frontier) before rethrowing. One dump per run;
   /// empty disables the file without affecting the free-text stall_report()
   /// carried in the exception message. Rendered by `concert_trace postmortem`.
@@ -208,7 +201,7 @@ class Machine {
 
   // ---- concert-insight (postmortems) ----
   /// Serializes the machine-readable postmortem: per-node queue depths,
-  /// flight-recorder rings, health aggregates, suspended-context chains and
+  /// the newest event-ring records, health aggregates, suspended-context chains and
   /// vclock frontiers (machine/postmortem.cpp). Callable any time the nodes
   /// are not concurrently mutating.
   void write_postmortem(std::ostream& os, const std::string& reason) const;
@@ -264,11 +257,10 @@ class MetricsRegistry;
 /// Fills `out` with the machine's counters and histograms: every NodeStats
 /// field summed across nodes, plus (when MachineConfig::metrics was on) the
 /// merged invocation-latency, per-method latency, inbox-depth,
-/// context-lifetime and flush-size histograms, plus (when
-/// MachineConfig::flight_recorder was on) merged queue-depth health
-/// histograms and a load-skew gauge, plus (when MachineConfig::profile_sites
-/// was on) per-call-edge counters and latency histograms. Call after
-/// quiescence.
+/// context-lifetime and flush-size histograms, plus (once an engine has
+/// taken health samples) merged queue-depth health histograms and a
+/// load-skew gauge, plus (when MachineConfig::profile_sites was on)
+/// per-call-edge counters and latency histograms. Call after quiescence.
 void export_metrics(const Machine& machine, MetricsRegistry& out);
 
 /// Dumps the per-call-site profile (SITES_*.json): every (caller, callee)

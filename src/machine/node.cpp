@@ -17,7 +17,6 @@ Node::Node(NodeId id, Machine& machine)
       objects_(id) {
   verifier.set_enabled(machine.config().verify);
   if (machine.config().metrics) metrics_ = std::make_unique<NodeMetrics>();
-  if (machine.config().flight_recorder) flight.enable(machine.config().flight_capacity);
   if (machine.config().profile_sites) sites_.enable();
 }
 
@@ -132,15 +131,12 @@ void Node::suspend(Context& ctx) {
   } else {
     ctx.status = ContextStatus::Waiting;
     ++stats.suspensions;
-    frec(FlightKind::Suspend, ctx.method, ctx.id);
     verifier.record_block(ctx.method);
-    if (tracer.enabled()) {
-      // A fresh flow id per suspension: the matching Resume re-records it,
-      // exporting the pair as one Perfetto flow even if the context
-      // suspends again later.
-      ctx.trace_flow = machine_.next_trace_cause();
-      trace(TraceKind::Suspend, ctx.method, ctx.trace_flow);
-    }
+    // Traced runs draw a fresh flow id per suspension: the matching Resume
+    // re-records it, exporting the pair as one Perfetto flow even if the
+    // context suspends again later.
+    if (tracer.traced()) ctx.trace_flow = machine_.next_trace_cause();
+    trace(TraceKind::Suspend, ctx.method, ctx.trace_flow, ctx.id);
     // After the tracer so the entry carries this suspension's flow id; the
     // join==0 fast path above and run_one's deadlock quarantine are
     // deliberately untracked (the former resumes immediately, the latter is
@@ -151,9 +147,8 @@ void Node::suspend(Context& ctx) {
 
 void Node::resume(Context& ctx) {
   ++stats.resumptions;
-  frec(FlightKind::Resume, ctx.method, ctx.id);
   verifier.record_resume(ctx.id);
-  trace(TraceKind::Resume, ctx.method, ctx.trace_flow);
+  trace(TraceKind::Resume, ctx.method, ctx.trace_flow, ctx.id);
   if (fallback_policy() == FallbackPolicy::AlwaysRetrySequential && ctx.reverted) {
     // Ablation A1: this policy re-runs the method on the stack at every
     // resumption; if it blocks again it pays the unwinding again. Charged as
@@ -210,8 +205,7 @@ bool Node::run_one() {
   ctx.status = ContextStatus::Running;
   charge(costs().dispatch);
   const MethodId method = ctx.method;
-  frec(FlightKind::Dispatch, method, ctx.id);
-  trace(TraceKind::DispatchBegin, method);
+  trace(TraceKind::DispatchBegin, method, 0, ctx.id);
   const ParStep par = dispatch(method).par;
   CONCERT_CHECK(par != nullptr, "context " << ctx.ref() << " has no parallel version");
   {
@@ -258,7 +252,7 @@ void Node::send(Message msg) {
   const bool is_reply = msg.kind == MsgKind::Reply;
   // Causal id for the send->recv flow: drawn once, travels with the message
   // (and through any bundle), re-recorded by the receiver.
-  if (tracer.enabled() && msg.cause == 0) msg.cause = machine_.next_trace_cause();
+  if (tracer.traced() && msg.cause == 0) msg.cause = machine_.next_trace_cause();
   // Vector-clock stamp (concert-race): taken at the *logical* send, so a
   // staged message carries its staging-time causality and flush_outbox never
   // re-stamps. No-op (and no allocation) unless verification is on.
@@ -316,8 +310,7 @@ void Node::flush_outbox(NodeId dst) {
     ++stats.bundles_sent;
     stats.msgs_coalesced += n;
   }
-  frec(FlightKind::OutboxFlush, kInvalidMethod, static_cast<std::uint32_t>(n));
-  trace(TraceKind::OutboxFlush, kInvalidMethod);
+  trace(TraceKind::OutboxFlush, kInvalidMethod, 0, static_cast<std::uint32_t>(n));
   machine_.route(*this, std::move(out));
   // Retire the staged elements' outstanding-work credits only after the
   // bundle's own credit exists (Dijkstra counting stays non-zero throughout).
@@ -343,7 +336,7 @@ void Node::deliver(Message& msg) {
     ++stats.bundles_received;
     for (Message& e : msg.bundle) {
       ++stats.msgs_received;
-      trace(TraceKind::MsgRecv, e.method, e.cause);
+      trace(TraceKind::MsgRecv, e.method, e.cause, e.src);
       deliver_element(e);
     }
     return;
@@ -353,15 +346,11 @@ void Node::deliver(Message& msg) {
   charge(c);
   stats.comm_instructions += c;
   ++stats.msgs_received;
-  trace(TraceKind::MsgRecv, msg.method, msg.cause);
+  trace(TraceKind::MsgRecv, msg.method, msg.cause, msg.src);
   deliver_element(msg);
 }
 
 void Node::deliver_element(Message& msg) {
-  // One flight record per delivered message, whether it arrived plain, in a
-  // bundle, or as the non-wave remainder of a drained batch (wave runs are
-  // recorded once as WaveRun instead).
-  frec(FlightKind::Deliver, msg.method, msg.src);
   // Delivery-order sanitizer (concert-race): join the sender's stamp into
   // this node's clock, and probe Invoke deliveries per target object for
   // unordered (concurrent-stamped) method pairs.
@@ -484,7 +473,7 @@ void Node::deliver_batch(std::vector<Message>& batch) {
       ++stats.bundles_received;
       for (Message& e : msg.bundle) {
         ++stats.msgs_received;
-        trace(TraceKind::MsgRecv, e.method, e.cause);
+        trace(TraceKind::MsgRecv, e.method, e.cause, e.src);
         feed(e, /*accounted=*/true);
       }
       flush_run();
@@ -508,14 +497,13 @@ void Node::execute_wave(MethodId method, bool recv_accounted) {
     charge(recv);
     stats.comm_instructions += recv;
     stats.msgs_received += n;
-    for (const Message* m : wave_msgs_) trace(TraceKind::MsgRecv, method, m->cause);
+    for (const Message* m : wave_msgs_) trace(TraceKind::MsgRecv, method, m->cause, m->src);
   }
   charge_seq_call(*this, Schema::NonBlocking);
   charge((costs().wave_member + costs().lock_check) * n);
   stats.stack_calls += n;
   stats.stack_completions += n;
   stats.record_wave(n);
-  frec(FlightKind::WaveRun, method, static_cast<std::uint32_t>(n));
   if (sites_.enabled()) {
     // Wave members are wrapper-path executions: no declared caller, so they
     // aggregate under the "(message)" pseudo-caller. A wave only ever runs
@@ -525,7 +513,7 @@ void Node::execute_wave(MethodId method, bool recv_accounted) {
     site.attempts += n;
     site.nb_hits += n;
   }
-  trace(TraceKind::StackRun, method);
+  trace(TraceKind::StackRun, method, 0, static_cast<std::uint32_t>(n));
   if (metrics_) metrics_->wave_size.record(n);
   {
     // One latency bracket for the whole run (the per-message path records one
@@ -585,7 +573,7 @@ std::size_t Node::drain_inbox(std::vector<Message>& out, std::size_t max) {
   const std::size_t n = inbox_.drain(std::back_inserter(out), max);
   if (n > 0) {
     stats.record_inbox_batch(n);
-    frec(FlightKind::InboxDrain, kInvalidMethod, static_cast<std::uint32_t>(n));
+    trace(TraceKind::InboxDrain, kInvalidMethod, 0, static_cast<std::uint32_t>(n));
     if (metrics_) metrics_->inbox_depth.record(n);
   }
   return n;
@@ -605,7 +593,7 @@ void Node::park_inbox(std::chrono::microseconds timeout) {
     // that rides on the wake — every queued message holds its work credit.
     if (inbox_.consumer_empty()) {
       ++stats.inbox_parks;
-      frec(FlightKind::Park);
+      trace(TraceKind::Park, kInvalidMethod);
       park_cv_.wait_for(lk, timeout);
       // Consumer-side wakeup accounting (producers must not touch another
       // node's stats): a park that ends with work waiting was a productive

@@ -31,7 +31,6 @@
 #include "objects/location_cache.hpp"
 #include "objects/object_space.hpp"
 #include "support/arena.hpp"
-#include "support/flight_recorder.hpp"
 #include "support/histogram.hpp"
 #include "support/rng.hpp"
 #include "support/site_profiler.hpp"
@@ -264,26 +263,17 @@ class Node {
   BlockInjector& injector() { return injector_; }
   const BlockInjector& injector() const { return injector_; }
 
-  // ---- observability (concert-scope) ----
-  /// Records one trace event when tracing is on (one branch when off),
-  /// mirroring ring overwrites into stats.msgs_dropped_trace. `cause` links
-  /// flow pairs (send/recv, suspend/resume); 0 means none.
-  void trace(TraceKind kind, MethodId method, std::uint64_t cause = 0) {
-    if (tracer.enabled() && tracer.record(clock_, kind, method, cause)) {
-      ++stats.msgs_dropped_trace;
-    }
+  // ---- observability (concert-scope / concert-insight) ----
+  /// Records one event into the node's ring (see machine/trace.hpp), never
+  /// charging the cost model. Under MachineConfig::trace, ring overwrites are
+  /// mirrored into stats.msgs_dropped_trace. `cause` links flow pairs
+  /// (send/recv, suspend/resume; 0 means none); `arg` is the kind's argument.
+  void trace(TraceKind kind, MethodId method, std::uint64_t cause = 0, std::uint32_t arg = 0) {
+    if (tracer.record(clock_, kind, method, cause, arg)) ++stats.msgs_dropped_trace;
   }
   /// Histogram recorders, or nullptr when MachineConfig::metrics is off.
   NodeMetrics* metrics() { return metrics_.get(); }
   const NodeMetrics* metrics() const { return metrics_.get(); }
-
-  // ---- observability (concert-insight) ----
-  /// Records one flight-recorder event when the ring is enabled (one branch
-  /// plus a masked store when on, one branch when off). Never charges the
-  /// cost model and reads no wall clock, so runs are bit-identical either way.
-  void frec(FlightKind kind, MethodId method = kInvalidMethod, std::uint32_t arg = 0) {
-    if (flight.enabled()) flight.record(clock_, kind, method, arg);
-  }
   /// Takes one queue-depth health sample. Engines call this periodically
   /// from whichever thread owns the node (the deterministic engine's
   /// scheduling loop, or the node's own thread in the threaded engine).
@@ -296,13 +286,13 @@ class Node {
   const SiteProfiler& sites() const { return sites_; }
 
   NodeStats stats;
-  SplitMix64 rng;
-  Tracer tracer;
-  /// Always-on last-N scheduler-event ring + queue-depth health samples
-  /// (concert-insight); dumped into POSTMORTEM.json on stall/panic. Touched
-  /// only by this node's thread; read after quiescence or thread join.
-  FlightRecorder flight;
+  /// Periodic queue-depth samples (ready, outbox, live contexts).
   HealthStats health;
+  SplitMix64 rng;
+  /// The node's event ring: always on, dumped into POSTMORTEM.json on a
+  /// stall or panic; under MachineConfig::trace, the full trace. Touched
+  /// only by this node's thread; read after quiescence or thread join.
+  Tracer tracer;
   /// Conformance sanitizer hook (enabled from MachineConfig::verify; records
   /// nothing and costs one branch per site when off). Touched only by this
   /// node's thread, like the outbox. Checked by verify::check_conformance.

@@ -3,9 +3,9 @@
 // The stall watchdog (concert-progress) carries a free-text stall_report()
 // inside its exception message — fine for a human scrolling a CI log, hostile
 // to anything that wants to *parse* the failure. write_postmortem serializes
-// the same state, plus the flight-recorder rings and health aggregates, as a
-// structured JSON document: per-node queue depths, the last-N coarse
-// scheduler events, suspended-context tables with their local continuation
+// the same state, plus the event rings and health aggregates, as a
+// structured JSON document: per-node queue depths, the newest scheduler
+// events, suspended-context tables with their local continuation
 // chains, and the vclock frontier. Both engines dump it (at most once per
 // run) when the watchdog fires or a protocol panic unwinds the run, then
 // rethrow; `concert_trace postmortem` renders the file.
@@ -107,7 +107,7 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
        << ", \"contexts_allocated\": " << st.contexts_allocated << "},\n";
 
     // Health aggregates (periodic queue-depth samples; zero-count when the
-    // flight recorder was off or the engine never reached a sampling point).
+    // engine never reached a sampling point).
     os << "     \"health\": {\"samples\": " << nd.health.samples << ", ";
     write_hist(os, "ready_depth", nd.health.ready_depth);
     os << ", ";
@@ -116,14 +116,15 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
     write_hist(os, "live_ctx", nd.health.live_ctx);
     os << "},\n";
 
-    // Flight ring: the last-N coarse scheduler events, oldest first.
-    os << "     \"flight_total\": " << nd.flight.total() << ",\n";
+    // The node's event ring: its newest records (at most the default
+    // preset's 256, also on a traced run), oldest first.
+    os << "     \"flight_total\": " << nd.tracer.total() << ",\n";
     os << "     \"flight\": [";
-    const std::vector<FlightRec> ring = nd.flight.snapshot();
+    const std::vector<TraceRecord> ring = nd.tracer.snapshot(Tracer::kDefaultCapacity);
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      const FlightRec& r = ring[i];
+      const TraceRecord& r = ring[i];
       os << (i == 0 ? "\n" : ",\n");
-      os << "       {\"clock\": " << r.clock << ", \"kind\": \"" << flight_kind_name(r.kind)
+      os << "       {\"clock\": " << r.clock << ", \"kind\": \"" << trace_kind_name(r.kind)
          << "\", \"method\": \"" << json_escape(method_name(*this, r.method)) << "\", \"arg\": "
          << r.arg << "}";
     }

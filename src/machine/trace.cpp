@@ -1,5 +1,6 @@
 #include "machine/trace.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -19,6 +20,8 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::Resume: return "resume";
     case TraceKind::StackRun: return "stack_run";
     case TraceKind::OutboxFlush: return "outbox_flush";
+    case TraceKind::InboxDrain: return "inbox_drain";
+    case TraceKind::Park: return "park";
   }
   return "?";
 }
@@ -34,14 +37,16 @@ bool trace_kind_from_name(const std::string& name, TraceKind& out) {
   return false;
 }
 
-std::vector<TraceRecord> Tracer::snapshot() const {
+std::vector<TraceRecord> Tracer::snapshot(std::size_t newest) const {
+  const std::size_t kept = std::min(size(), newest);
   std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;  // never wrapped: already oldest -> newest
-  } else {
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_));
+  out.reserve(kept);
+  // Once the ring has wrapped, the oldest record sits at the next write
+  // position.
+  std::size_t start = 0;
+  if (total_ > capacity_) start = traced_ ? head_ : total_ & (kDefaultCapacity - 1);
+  for (std::size_t i = size() - kept; i < size(); ++i) {
+    out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
 }
@@ -66,7 +71,9 @@ TraceDump dump_trace(const Machine& machine, bool wall_time) {
 // ---------------------------------------------------------------------------
 // Binary dump: "CTRACE01" magic, header, method-name table, flat event list.
 // Host-endian fixed-width fields — the dump is a same-machine artifact (CI
-// produces and consumes it in one job), not an interchange format.
+// produces and consumes it in one job), not an interchange format. The
+// record's `arg` is not stored: it serves the postmortem, and the layout
+// stays that of CTRACE01.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -87,6 +94,23 @@ bool get(std::istream& is, T& v) {
 bool fail(std::string* err, const char* what) {
   if (err != nullptr) *err = what;
   return false;
+}
+
+/// On-disk bytes of one event: node, method, kind, clock, wall_ns, cause.
+constexpr std::uint64_t kEventBytes = 4 + 4 + 1 + 8 + 8 + 8;
+/// Largest node count a dump may declare. Readers size per-node tables from
+/// it, so a corrupt header must not turn into a huge allocation.
+constexpr std::uint32_t kMaxDumpNodes = 1u << 20;
+
+/// Bytes between the read position and the end of a seekable stream;
+/// UINT64_MAX when the stream cannot seek.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  if (here < 0) return UINT64_MAX;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  return end >= here ? static_cast<std::uint64_t>(end - here) : 0;
 }
 
 }  // namespace
@@ -124,11 +148,21 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   if (!get(is, nodes) || !get(is, out.dropped) || !get(is, wall) || !get(is, out.us_per_insn)) {
     return fail(err, "truncated header");
   }
+  if (nodes > kMaxDumpNodes) return fail(err, "bad node count");
+  if (!std::isfinite(out.us_per_insn) || out.us_per_insn <= 0) {
+    return fail(err, "bad time scale");
+  }
   out.node_count = nodes;
   out.wall_time = wall != 0;
   if (!get(is, n_methods)) return fail(err, "truncated method table");
+  // Every count below comes from the file: reserve only what the bytes that
+  // remain can hold (nothing on a stream that cannot seek), so a corrupt
+  // count fails as a truncation instead of an allocation.
   out.method_names.clear();
-  out.method_names.reserve(n_methods);
+  const std::uint64_t names_left = bytes_left(is);
+  if (names_left != UINT64_MAX) {
+    out.method_names.reserve(std::min<std::uint64_t>(n_methods, names_left / 4));
+  }
   for (std::uint32_t i = 0; i < n_methods; ++i) {
     std::uint32_t len = 0;
     if (!get(is, len) || len > (1u << 20)) return fail(err, "bad method-name length");
@@ -140,7 +174,11 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   std::uint64_t n_events = 0;
   if (!get(is, n_events)) return fail(err, "truncated event count");
   out.events.clear();
-  out.events.reserve(static_cast<std::size_t>(n_events));
+  const std::uint64_t events_left = bytes_left(is);
+  if (events_left != UINT64_MAX) {
+    if (n_events > events_left / kEventBytes) return fail(err, "event count exceeds the file");
+    out.events.reserve(static_cast<std::size_t>(n_events));
+  }
   for (std::uint64_t i = 0; i < n_events; ++i) {
     TraceEvent e;
     std::uint32_t node = 0, method = 0;
@@ -150,6 +188,10 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
       return fail(err, "truncated event list");
     }
     if (kind >= kTraceKindCount) return fail(err, "bad event kind");
+    if (node >= nodes) return fail(err, "event node out of range");
+    if (method != kInvalidMethod && method >= n_methods) {
+      return fail(err, "event method out of range");
+    }
     e.node = static_cast<NodeId>(node);
     e.rec.method = method;
     e.rec.kind = static_cast<TraceKind>(kind);
@@ -259,6 +301,8 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
       }
       case TraceKind::StackRun:
       case TraceKind::OutboxFlush:
+      case TraceKind::InboxDrain:
+      case TraceKind::Park:
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
         os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method) << "\"}}";
         break;

@@ -1,30 +1,37 @@
-// Execution tracing (concert-scope): per-node event streams with causal
-// cross-node flow ids, exportable to the Chrome trace-event format
-// (chrome://tracing, Perfetto) and to a compact binary dump consumed by the
-// `concert_trace` CLI.
+// Execution tracing (concert-scope) and the always-on event ring
+// (concert-insight): one per-node stream of scheduler events, exportable to
+// the Chrome trace-event format (chrome://tracing, Perfetto), to a compact
+// binary dump consumed by the `concert_trace` CLI, and into POSTMORTEM.json.
 //
-// Tracing is off by default (MachineConfig::trace) and costs one branch per
-// site when disabled. When enabled, the runtime records scheduler-level
-// events — message send/receive, context dispatch begin/end, stack runs,
-// suspension, resumption, outbox flushes — each stamped with BOTH the node's
-// simulated clock (instruction count) and a wall-clock steady_clock offset
-// from the machine's epoch, so the same recorder serves the deterministic
-// simulator (simulated-time timelines) and the threaded engine (real-time
-// timelines).
+// Every node records into one ring with two presets:
 //
-// Causality: every MsgSend draws a machine-unique causal id that travels in
-// the message and is re-recorded by the receiver's MsgRecv; every Suspend
-// draws one that the matching Resume re-records. The Chrome export turns
-// these pairs into Perfetto *flow events*, making a remote invocation's
-// critical path (send -> recv -> dispatch -> reply -> resume) visible
-// end-to-end across nodes.
+//   * default — a fixed 256-record ring, always on. A record is the node's
+//     simulated clock, the kind, the method and a small argument; recording
+//     is one branch plus a masked store. It reads no wall clock, draws no
+//     flow id and counts no drops. Its consumer is the postmortem path: when
+//     the stall watchdog fires or a protocol check panics, each node's recent
+//     history goes into POSTMORTEM.json.
+//   * traced (MachineConfig::trace) — a ring of MachineConfig::trace_capacity
+//     records, grown on demand. Each record is also stamped with a wall-clock
+//     steady_clock offset from the machine's epoch, so the same stream serves
+//     the deterministic simulator (simulated-time timelines) and the threaded
+//     engine (real-time timelines). When full, the oldest record is
+//     overwritten and counted as dropped (surfaced in the export metadata and
+//     NodeStats::msgs_dropped_trace).
 //
-// The recorder is a bounded ring: the newest MachineConfig::trace_capacity
-// records are kept per node, older ones are overwritten and counted as
-// dropped (surfaced in the export metadata and NodeStats::msgs_dropped_trace)
-// instead of growing without bound on long runs. Each Tracer is written only
-// by its owning node's thread and read after quiescence, so appends are
-// plain stores — safe in the threaded engine without atomics.
+// Neither preset touches the cost model, so simulated clocks and the paper
+// tables are bit-identical with tracing on or off.
+//
+// Causality (traced preset only): every MsgSend draws a machine-unique causal
+// id that travels in the message and is re-recorded by the receiver's
+// MsgRecv; every Suspend draws one that the matching Resume re-records. The
+// Chrome export turns these pairs into Perfetto *flow events*, making a remote
+// invocation's critical path (send -> recv -> dispatch -> reply -> resume)
+// visible end-to-end across nodes.
+//
+// Each ring is written only by its owning node's thread and read after
+// quiescence, so appends are plain stores — safe in the threaded engine
+// without atomics.
 #pragma once
 
 #include <algorithm>
@@ -40,16 +47,18 @@ namespace concert {
 
 enum class TraceKind : std::uint8_t {
   MsgSend,
-  MsgRecv,
-  DispatchBegin,  ///< a heap context starts a parallel-version step
+  MsgRecv,        ///< one message delivered (arg = source node)
+  DispatchBegin,  ///< a heap context starts a parallel-version step (arg = context id)
   DispatchEnd,
-  Suspend,
-  Resume,
-  StackRun,     ///< a wrapper executed a method on the handler stack
-  OutboxFlush,  ///< an outbox destination drained into the network
+  Suspend,      ///< context suspended on unfilled slots (arg = context id)
+  Resume,       ///< suspended context re-enqueued (arg = context id)
+  StackRun,     ///< a method ran on the handler stack (arg = merged-wave size, 0 = single)
+  OutboxFlush,  ///< an outbox destination drained into the network (arg = messages)
+  InboxDrain,   ///< inbox batch pulled, threaded engine (arg = batch size)
+  Park,         ///< consumer parked idle, threaded engine
 };
 
-inline constexpr std::size_t kTraceKindCount = 8;
+inline constexpr std::size_t kTraceKindCount = 10;
 
 const char* trace_kind_name(TraceKind k);
 /// Inverse of trace_kind_name; returns false when `name` matches no kind.
@@ -57,63 +66,98 @@ bool trace_kind_from_name(const std::string& name, TraceKind& out);
 
 struct TraceRecord {
   std::uint64_t clock;    ///< node-local simulated instruction count
-  std::uint64_t wall_ns;  ///< steady_clock ns since the machine's trace epoch
+  std::uint64_t wall_ns;  ///< steady_clock ns since the machine's trace epoch; 0 untraced
   std::uint64_t cause;    ///< causal/flow id pairing send-recv and suspend-resume; 0 = none
   MethodId method;        ///< kInvalidMethod where not applicable
   TraceKind kind;
+  /// Low 24 bits of the kind's argument (see TraceKind), in what would
+  /// otherwise be padding. No default member initializer: it would make the
+  /// record non-trivial and every node's ring slower to construct.
+  std::uint32_t arg : 24;
 };
+static_assert(sizeof(TraceRecord) == 32, "TraceRecord must stay 32 bytes");
 
-/// Per-node bounded ring recorder. Appending is O(1) with no allocation once
-/// the ring is warm; when full, the oldest record is overwritten and counted
-/// as dropped. Single-writer (the owning node's thread), read at quiescence.
+/// Per-node ring recorder. Appending is O(1) with no allocation once the
+/// ring is warm. Single-writer (the owning node's thread), read at quiescence.
 class Tracer {
  public:
   using Clock = std::chrono::steady_clock;
+  /// Records kept by the default (untraced) preset.
+  static constexpr std::size_t kDefaultCapacity = 256;
 
+  // Filled from a prototype: value-initializing a record with a default
+  // member initializer runs its constructor per element, which made machine
+  // construction measurably slower.
+  Tracer() : ring_(kDefaultCapacity) {}
+
+  /// Switches to the traced preset: `capacity` records (the ring grows on
+  /// demand up to it), wall-clock stamps relative to `epoch`, drops counted.
+  /// A zero capacity keeps the default preset.
   void enable(std::size_t capacity, Clock::time_point epoch) {
-    enabled_ = capacity > 0;
+    if (capacity == 0) return;
+    traced_ = true;
     capacity_ = capacity;
     epoch_ = epoch;
-    ring_.clear();
-    ring_.reserve(std::min<std::size_t>(capacity, 4096));  // grow on demand up to capacity
-    head_ = 0;
-    dropped_ = 0;
+    clear();
+    ring_.reserve(std::min<std::size_t>(capacity, 4096));
   }
-  bool enabled() const { return enabled_; }
+  /// True under the traced preset (wall stamps, flow ids, dropped records).
+  bool traced() const { return traced_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Appends a record (caller must check enabled()). Returns true when the
-  /// ring was full and the oldest record was overwritten.
-  bool record(std::uint64_t clock, TraceKind kind, MethodId method, std::uint64_t cause = 0) {
-    const std::uint64_t wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch_).count());
-    if (ring_.size() < capacity_) {
-      ring_.push_back(TraceRecord{clock, wall, cause, method, kind});
+  /// Appends a record. Returns true when the traced ring was full and its
+  /// oldest record was overwritten; the default ring overwrites silently.
+  bool record(std::uint64_t clock, TraceKind kind, MethodId method, std::uint64_t cause,
+              std::uint32_t arg) {
+    if (!traced_) {
+      fill(ring_[total_++ & (kDefaultCapacity - 1)], clock, 0, cause, method, kind, arg);
       return false;
     }
-    ring_[head_] = TraceRecord{clock, wall, cause, method, kind};
+    const std::uint64_t wall = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch_).count());
+    ++total_;
+    if (ring_.size() < capacity_) {
+      fill(ring_.emplace_back(), clock, wall, cause, method, kind, arg);
+      return false;
+    }
+    fill(ring_[head_], clock, wall, cause, method, kind, arg);
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    ++dropped_;
     return true;
   }
 
-  std::size_t size() const { return ring_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
+  /// Records appended since construction or the last clear().
+  std::uint64_t total() const { return total_; }
+  /// Records retained (the newest min(total, capacity)).
+  std::size_t size() const {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(total_, capacity_));
+  }
+  /// Records overwritten in a full traced ring (always 0 untraced).
+  std::uint64_t dropped() const { return traced_ ? total_ - size() : 0; }
 
-  /// The retained records, oldest -> newest (unwraps the ring).
-  std::vector<TraceRecord> snapshot() const;
+  /// The newest min(size(), newest) retained records, oldest -> newest.
+  std::vector<TraceRecord> snapshot(std::size_t newest = SIZE_MAX) const;
 
   void clear() {
-    ring_.clear();
+    if (traced_) ring_.clear();
     head_ = 0;
-    dropped_ = 0;
+    total_ = 0;
   }
 
  private:
-  bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  ///< next overwrite position once the ring is full
-  std::uint64_t dropped_ = 0;
+  static void fill(TraceRecord& r, std::uint64_t clock, std::uint64_t wall, std::uint64_t cause,
+                   MethodId method, TraceKind kind, std::uint32_t arg) {
+    r.clock = clock;
+    r.wall_ns = wall;
+    r.cause = cause;
+    r.method = method;
+    r.kind = kind;
+    r.arg = arg;
+  }
+
+  bool traced_ = false;
+  std::size_t capacity_ = kDefaultCapacity;
+  std::size_t head_ = 0;  ///< traced preset: next overwrite position once full
+  std::uint64_t total_ = 0;
   Clock::time_point epoch_{};
   std::vector<TraceRecord> ring_;
 };

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/histogram.hpp"
+
 namespace concert {
 
 /// Per-node counters for runtime events. Plain aggregates so they can be
@@ -124,6 +126,25 @@ struct NodeStats {
 
   /// Multi-line human-readable dump (used by benches with --verbose).
   std::string summary() const;
+};
+
+/// Periodic queue-depth samples for one node. Histograms (not just sums) so
+/// the postmortem and metrics export can report p50/p99 depth and the export
+/// layer can compute load skew across nodes from per-node means. Both
+/// engines sample outside the cost model: the deterministic engine every
+/// 4096 actions, the threaded engine from each node's own loop.
+struct HealthStats {
+  std::uint64_t samples = 0;
+  Histogram ready_depth;
+  Histogram outbox_depth;
+  Histogram live_ctx;
+
+  void add(std::uint64_t ready, std::uint64_t outbox, std::uint64_t live) {
+    ++samples;
+    ready_depth.record(ready);
+    outbox_depth.record(outbox);
+    live_ctx.record(live);
+  }
 };
 
 /// Streaming min/mean/max accumulator.

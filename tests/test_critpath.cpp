@@ -31,7 +31,7 @@ struct DumpBuilder {
   }
   DumpBuilder& ev(NodeId node, std::uint64_t clock, TraceKind kind, MethodId method = 0,
                   std::uint64_t cause = 0) {
-    d.events.push_back(TraceEvent{node, TraceRecord{clock, clock * 1000, cause, method, kind}});
+    d.events.push_back(TraceEvent{node, TraceRecord{clock, clock * 1000, cause, method, kind, 0}});
     return *this;
   }
 };
@@ -73,6 +73,23 @@ TEST(CritPath, ClassifiesComputeNetworkSched) {
   for (std::size_t i = 1; i < r.path.size(); ++i) {
     EXPECT_DOUBLE_EQ(r.path[i].t0_us, r.path[i - 1].t1_us);
   }
+}
+
+TEST(CritPath, DrainAndParkDoNotHideNetworkHops) {
+  // The receiver parks and drains its inbox between the send and the recv,
+  // as on the threaded engine; the hop must still classify as network.
+  DumpBuilder b(2);
+  b.ev(0, 10, TraceKind::MsgSend, 1, /*cause=*/7)
+      .ev(1, 20, TraceKind::Park, kInvalidMethod)
+      .ev(1, 45, TraceKind::InboxDrain, kInvalidMethod)
+      .ev(1, 50, TraceKind::MsgRecv, 1, 7)
+      .ev(1, 60, TraceKind::DispatchBegin, 1)
+      .ev(1, 100, TraceKind::DispatchEnd, 1);
+  const CritPathReport r = analyze_critical_path(b.d);
+  EXPECT_DOUBLE_EQ(r.network_us, 40.0);  // 10 -> 50 via cause 7
+  EXPECT_DOUBLE_EQ(r.compute_us, 40.0);
+  EXPECT_DOUBLE_EQ(r.sched_us, 10.0);
+  EXPECT_DOUBLE_EQ(r.attributed_frac, 1.0);
 }
 
 TEST(CritPath, ClassifiesWaitOnSuspendResumePair) {

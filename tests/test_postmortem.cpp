@@ -1,18 +1,22 @@
-// Structured postmortems + flight recorder (concert-insight): both engines
-// dump a parseable POSTMORTEM.json when the stall watchdog fires, the panic
-// path (quiescence-verifier throw) dumps with reason "panic", per-node
+// Structured postmortems (concert-insight): both engines dump a parseable
+// POSTMORTEM.json when the stall watchdog fires, the panic path
+// (quiescence-verifier throw) dumps with reason "panic", per-node
 // ready/outbox/live-context depths round-trip through the JSON, dumps happen
-// at most once per run and never with an empty path, and the always-on flight
-// recorder stays bit-identical in simulated time.
+// at most once per run and never with an empty path, a traced run's dump
+// keeps the newest 256 ring records, and the always-on event ring — in
+// either preset — stays bit-identical in simulated time.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <type_traits>
 
+#include "apps/em3d/em3d.hpp"
+#include "apps/sor/sor.hpp"
 #include "core/invoke.hpp"
 #include "core/wrapper.hpp"
 #include "support/json.hpp"
@@ -68,7 +72,7 @@ TEST(Postmortem, ThreadedStallDumpsParseableReport) {
   ThreadedMachine mach(2, cfg);
   const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
   mach.registry().finalize();
-  // A real run first, so the flight rings and health samplers have content.
+  // A real run first, so the event rings and health samplers have content.
   EXPECT_EQ(mach.run_main(0, ids.fib, kNoObject, {Value(10)}).as_i64(), 55);
   mach.on_work_created();  // phantom credit no action will ever retire
   try {
@@ -82,11 +86,44 @@ TEST(Postmortem, ThreadedStallDumpsParseableReport) {
   const JsonValue doc = read_postmortem(path);
   EXPECT_EQ(doc.str_or("reason", ""), "stall");
   check_node_reports(doc, 2);
-  // The fib run dispatched real work: flight rings and health samples are
+  // The fib run dispatched real work: event rings and health samples are
   // non-empty on node 0 (the always-on default).
   const JsonValue& n0 = doc.find("node_reports")->arr[0];
   EXPECT_GT(n0.find("flight")->arr.size(), 0u);
   EXPECT_GE(n0.find("health")->num_or("samples", 0), 1.0);
+  std::remove(path.c_str());
+}
+
+TEST(Postmortem, TracedStallKeepsNewest256AndRenders) {
+  // A traced run's ring holds far more than 256 records; the postmortem
+  // still writes only the newest 256 per node, and the CLI renders them.
+  const std::string path = "PM_test_traced_stall.json";
+  std::remove(path.c_str());
+  MachineConfig cfg = test_config(ExecMode::ParallelOnly);
+  cfg.trace = true;
+  cfg.stall_timeout = 60;  // ms
+  cfg.postmortem_path = path;
+  ThreadedMachine mach(2, cfg);
+  const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
+  mach.registry().finalize();
+  EXPECT_EQ(mach.run_main(0, ids.fib, kNoObject, {Value(15)}).as_i64(), 610);
+  ASSERT_GT(mach.node(0).tracer.size(), Tracer::kDefaultCapacity);
+  mach.on_work_created();  // phantom credit no action will ever retire
+  EXPECT_THROW(mach.run_until_quiescent(), ProtocolError);
+  mach.on_work_retired();
+
+  const JsonValue doc = read_postmortem(path);
+  check_node_reports(doc, 2);
+  const JsonValue& n0 = doc.find("node_reports")->arr[0];
+  EXPECT_EQ(n0.find("flight")->arr.size(), 256u);
+  EXPECT_GT(n0.num_or("flight_total", 0), 256.0);
+  for (const JsonValue& nr : doc.find("node_reports")->arr) {
+    EXPECT_LE(nr.find("flight")->arr.size(), 256u);
+  }
+  const testing::ToolResult r = testing::run_tool(CONCERT_TRACE_PATH, "postmortem " + path);
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("reason=stall"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("ring events"), std::string::npos) << r.out;
   std::remove(path.c_str());
 }
 
@@ -143,7 +180,7 @@ TEST(Postmortem, SimStallBudgetDumpsParseableReport) {
   EXPECT_EQ(doc.str_or("reason", ""), "stall");
   check_node_reports(doc, 1);
   // The livelock dispatched thousands of contexts before the budget fired:
-  // the flight ring is full of dispatch records.
+  // the event ring is full of dispatch records.
   const JsonValue& n0 = doc.find("node_reports")->arr[0];
   EXPECT_GT(n0.find("flight")->arr.size(), 0u);
   EXPECT_GT(n0.num_or("flight_total", 0), 0.0);
@@ -267,26 +304,77 @@ TEST(Postmortem, HealthyMachineReportRoundTrips) {
   EXPECT_EQ(doc.num_or("live_contexts", -1),
             static_cast<double>(f.machine->live_contexts()));
   EXPECT_EQ(doc.num_or("max_clock", 0), static_cast<double>(f.machine->max_clock()));
-  // The always-on flight recorder captured the run.
+  // The always-on event ring captured the run.
   EXPECT_GT(doc.find("node_reports")->arr[0].find("flight")->arr.size(), 0u);
 }
 
-TEST(Postmortem, FlightRecorderIsZeroCostInSimTime) {
-  // The on-by-default recorder (and the health sampler it gates) must not
-  // perturb simulated results: identical clocks and accounting either way.
-  const auto run = [](bool flight) {
-    MachineConfig cfg = test_config(ExecMode::Hybrid3);
-    cfg.flight_recorder = flight;
-    SimMachine mach(2, cfg);
-    const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
-    mach.registry().finalize();
-    const Value v = mach.run_main(0, ids.fib, kNoObject, {Value(10)});
-    EXPECT_EQ(v.as_i64(), 55);
-    return std::make_tuple(mach.max_clock(), mach.total_stats().msgs_sent,
-                           mach.total_stats().bytes_sent,
-                           mach.total_stats().contexts_allocated);
+/// What a simulated run must reproduce exactly with tracing on or off: the
+/// makespan and every summed NodeStats counter (messages, bytes, contexts
+/// and the rest), compared bytewise — NodeStats is all uint64 counters.
+struct SimOutcome {
+  std::uint64_t max_clock;
+  NodeStats stats;
+  bool operator==(const SimOutcome& o) const {
+    static_assert(std::has_unique_object_representations_v<NodeStats>);
+    return max_clock == o.max_clock && std::memcmp(&stats, &o.stats, sizeof stats) == 0;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const SimOutcome& o) {
+  return os << "max_clock=" << o.max_clock << "\n" << o.stats.summary();
+}
+
+SimOutcome outcome_of(const Machine& m) {
+  const SimOutcome o{m.max_clock(), m.total_stats()};
+  EXPECT_EQ(o.stats.msgs_dropped_trace, 0u);
+  return o;
+}
+
+MachineConfig traced_config(bool trace) {
+  MachineConfig cfg = test_config(ExecMode::Hybrid3, CostModel::cm5());
+  cfg.trace = trace;
+  return cfg;
+}
+
+TEST(Postmortem, TraceOnOffIsZeroCostInSimTime) {
+  // The event ring (and the health sampler beside it) must not perturb
+  // simulated results in either preset, on fib, SOR and EM3D alike.
+  const auto fib = [](bool trace) {
+    SimMachine m(2, traced_config(trace));
+    const seqbench::Ids ids = seqbench::register_seqbench(m.registry(), true);
+    m.registry().finalize();
+    EXPECT_EQ(m.run_main(0, ids.fib, kNoObject, {Value(10)}).as_i64(), 55);
+    return outcome_of(m);
   };
-  EXPECT_EQ(run(true), run(false));
+  const auto sor_run = [](bool trace) {
+    const sor::Params p{16, 2, 4, 2};
+    SimMachine m(p.nodes(), traced_config(trace));
+    const sor::Ids ids = sor::register_sor(m.registry(), p);
+    m.registry().finalize();
+    sor::World world = sor::build(m, ids, p);
+    EXPECT_TRUE(sor::run(m, ids, world));
+    return outcome_of(m);
+  };
+  const auto em3d_run = [](bool trace) {
+    em3d::Params p;
+    p.graph_nodes = 64;
+    p.degree = 4;
+    p.iters = 3;
+    p.local_fraction = 0.5;
+    SimMachine m(4, traced_config(trace));
+    const em3d::Ids ids = em3d::register_em3d(m.registry(), p, 4);
+    m.registry().finalize();
+    em3d::World world = em3d::build(m, ids, p);
+    EXPECT_TRUE(em3d::run(m, ids, world, em3d::Version::Push));
+    return outcome_of(m);
+  };
+  EXPECT_EQ(fib(true), fib(false));
+  const SimOutcome sor_on = sor_run(true);
+  EXPECT_EQ(sor_on, sor_run(false));
+  EXPECT_GT(sor_on.stats.msgs_sent, 0u);
+  const SimOutcome em_on = em3d_run(true);
+  EXPECT_EQ(em_on, em3d_run(false));
+  EXPECT_GT(em_on.stats.msgs_sent, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Execution tracing: ring-buffer recording, causal flow-id pairing across
-// nodes and engines, chrome-trace export well formed, binary round-trip,
-// zero overhead (bit-identical sim results) when disabled.
+// Execution tracing: the always-on default ring, ring-buffer recording,
+// causal flow-id pairing across nodes and engines, chrome-trace export well
+// formed, binary round-trip, bit-identical sim results with metrics off.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "machine/trace.hpp"
@@ -15,12 +16,27 @@ namespace {
 using testing::SeqBenchFixtureState;
 using testing::test_config;
 
-TEST(Trace, DisabledByDefaultAndRecordsNothing) {
+TEST(Trace, DefaultRingIsSmallUntimedAndCountsNoDrops) {
+  // Without MachineConfig::trace every node still keeps its newest 256
+  // events, but stamps no wall time, draws no flow id and counts no drops.
   SeqBenchFixtureState f(ExecMode::ParallelOnly);
   f.machine->run_main(0, f.ids.fib, kNoObject, {Value(8)});
-  EXPECT_FALSE(f.machine->node(0).tracer.enabled());
-  EXPECT_EQ(f.machine->node(0).tracer.size(), 0u);
-  EXPECT_TRUE(f.machine->node(0).tracer.snapshot().empty());
+  const Tracer& tr = f.machine->node(0).tracer;
+  EXPECT_FALSE(tr.traced());
+  EXPECT_GT(tr.total(), Tracer::kDefaultCapacity);  // the run overflowed the ring
+  const auto recs = tr.snapshot();
+  EXPECT_FALSE(recs.empty());
+  EXPECT_LE(recs.size(), 256u);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].wall_ns, 0u) << "record " << i;
+    EXPECT_EQ(recs[i].cause, 0u) << "record " << i;
+    if (i > 0) {
+      EXPECT_LE(recs[i - 1].clock, recs[i].clock) << "record " << i;
+    }
+  }
+  EXPECT_EQ(tr.dropped(), 0u);
+  EXPECT_EQ(f.machine->total_stats().msgs_dropped_trace, 0u);
+  EXPECT_EQ(dump_trace(*f.machine).dropped, 0u);
 }
 
 struct TracedWorld {
@@ -203,6 +219,55 @@ TEST(Trace, BinaryReaderRejectsGarbage) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(Trace, BinaryReaderRejectsInconsistentDumps) {
+  TraceDump good;
+  good.node_count = 2;
+  good.method_names = {"m0"};
+  good.events.push_back(TraceEvent{1, TraceRecord{5, 0, 0, 0, TraceKind::MsgRecv, 0}});
+  good.events.push_back(
+      TraceEvent{0, TraceRecord{6, 0, 0, kInvalidMethod, TraceKind::InboxDrain, 0}});
+  const auto reads = [](const TraceDump& d, std::string* err) {
+    std::stringstream ss;
+    write_binary_trace(d, ss);
+    TraceDump back;
+    return read_binary_trace(ss, back, err);
+  };
+  std::string err;
+  ASSERT_TRUE(reads(good, &err)) << err;
+
+  TraceDump bad_node = good;
+  bad_node.events[0].node = 2;
+  EXPECT_FALSE(reads(bad_node, &err));
+  EXPECT_EQ(err, "event node out of range");
+
+  TraceDump bad_method = good;
+  bad_method.events[0].rec.method = 1;
+  EXPECT_FALSE(reads(bad_method, &err));
+  EXPECT_EQ(err, "event method out of range");
+
+  TraceDump bad_scale = good;
+  bad_scale.us_per_insn = 0.0;
+  EXPECT_FALSE(reads(bad_scale, &err));
+  EXPECT_EQ(err, "bad time scale");
+
+  TraceDump huge_nodes = good;
+  huge_nodes.node_count = 0xffffffffu;
+  EXPECT_FALSE(reads(huge_nodes, &err));
+  EXPECT_EQ(err, "bad node count");
+
+  // An event count far beyond the bytes that follow fails before any
+  // reservation is sized from it.
+  std::stringstream ss;
+  write_binary_trace(good, ss);
+  std::string bytes = ss.str();
+  const std::size_t count_at = bytes.size() - 2 * 33 - 8;  // two 33-byte events
+  bytes[count_at + 7] = '\x7f';
+  std::stringstream corrupt(bytes);
+  TraceDump back;
+  EXPECT_FALSE(read_binary_trace(corrupt, back, &err));
+  EXPECT_EQ(err, "event count exceeds the file");
+}
+
 TEST(Trace, ChromeExportIsBalancedJsonWithFlows) {
   // ParallelOnly so the trace contains heap-context dispatches (duration
   // events) and suspensions; two nodes so messages cross the network and
@@ -255,10 +320,15 @@ TEST(Trace, KindNamesAreDistinctAndRoundTrip) {
   EXPECT_STREQ(trace_kind_name(TraceKind::MsgSend), "msg_send");
   EXPECT_STREQ(trace_kind_name(TraceKind::Suspend), "suspend");
   EXPECT_STREQ(trace_kind_name(TraceKind::Resume), "resume");
+  EXPECT_STREQ(trace_kind_name(TraceKind::InboxDrain), "inbox_drain");
+  EXPECT_STREQ(trace_kind_name(TraceKind::Park), "park");
+  EXPECT_EQ(kTraceKindCount, static_cast<std::size_t>(TraceKind::Park) + 1);
+  std::set<std::string> names;
   for (std::size_t k = 0; k < kTraceKindCount; ++k) {
     TraceKind back;
     ASSERT_TRUE(trace_kind_from_name(trace_kind_name(static_cast<TraceKind>(k)), back));
     EXPECT_EQ(back, static_cast<TraceKind>(k));
+    EXPECT_TRUE(names.insert(trace_kind_name(back)).second) << trace_kind_name(back);
   }
   TraceKind junk;
   EXPECT_FALSE(trace_kind_from_name("nonsense", junk));

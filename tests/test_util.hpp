@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "apps/seqbench/seqbench.hpp"
 #include "machine/sim_machine.hpp"
@@ -30,5 +34,23 @@ struct SeqBenchFixtureState {
     machine->registry().finalize();
   }
 };
+
+struct ToolResult {
+  int exit_code = -1;  ///< -1 when the process did not exit (e.g. it aborted)
+  std::string out;     ///< stdout + stderr, interleaved
+};
+
+/// Spawns `tool args` through the shell and collects its output.
+inline ToolResult run_tool(const std::string& tool, const std::string& args) {
+  const std::string cmd = tool + " " + args + " 2>&1";
+  ToolResult r;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[4096];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) r.out += buf;
+  const int status = pclose(pipe);
+  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return r;
+}
 
 }  // namespace concert::testing

@@ -16,7 +16,8 @@
 //               or --out PATH.
 //   --node/--method/--kind restrict both modes to one node id, one method
 //               name, or one event kind (msg_send, msg_recv, dispatch,
-//               dispatch_end, suspend, resume, stack_run, outbox_flush).
+//               dispatch_end, suspend, resume, stack_run, outbox_flush,
+//               inbox_drain, park).
 //
 //   critpath    extracts the causal critical path: ranked per-method
 //               on-path/slack table (default), machine-readable JSON
@@ -24,7 +25,7 @@
 //               own track (--perfetto PATH).
 //   postmortem  renders a POSTMORTEM.json (written by a stalled or panicked
 //               run) as per-node tables: queue depths, health aggregates,
-//               last flight-recorder events, suspended-context chains.
+//               the newest event-ring records, suspended-context chains.
 //
 // Filters drop events *before* conversion/summary, so e.g.
 // `--method sor_step --chrome` yields a timeline of just that method.
@@ -399,7 +400,7 @@ int run_postmortem(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // Per-node detail: the tail of the flight ring and the suspended-context
+  // Per-node detail: the tail of the event ring and the suspended-context
   // chains — the "what was it doing" half of the report.
   for (const JsonValue& nr : reports->arr) {
     const JsonValue* flight = nr.find("flight");
@@ -412,7 +413,7 @@ int run_postmortem(int argc, char** argv) {
       const std::size_t n = flight->arr.size();
       const std::size_t show = std::min<std::size_t>(n, 8);
       std::cout << "  last " << show << " of " << jnum(nr, "flight_total")
-                << " flight events:\n";
+                << " ring events:\n";
       for (std::size_t i = n - show; i < n; ++i) {
         const JsonValue& ev = flight->arr[i];
         std::cout << "    clock=" << jnum(ev, "clock") << " " << ev.str_or("kind", "?")
