@@ -151,7 +151,6 @@ struct WorkloadResult {
   double mean_inbox_batch = 0.0;
   std::uint64_t loc_cache_hits = 0;
   std::uint64_t loc_cache_misses = 0;
-  std::uint64_t spec_nb_calls = 0;  ///< Call sites bound NB by edge specialization.
   // Memory subsystem (per measured rep, summed over nodes).
   std::uint64_t heap_allocs = 0;        ///< Global operator-new calls.
   double allocs_per_invocation = 0.0;   ///< heap_allocs / invocations.
@@ -209,7 +208,6 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
       r.msgs = after.msgs_sent - before.msgs_sent;
       r.loc_cache_hits = after.loc_cache_hits - before.loc_cache_hits;
       r.loc_cache_misses = after.loc_cache_misses - before.loc_cache_misses;
-      r.spec_nb_calls = after.spec_stack_calls - before.spec_stack_calls;
       const std::uint64_t batches = after.inbox_batches - before.inbox_batches;
       const std::uint64_t drained = after.inbox_batched_msgs - before.inbox_batched_msgs;
       r.mean_inbox_batch = batches ? static_cast<double>(drained) / static_cast<double>(batches)
@@ -409,46 +407,6 @@ WorkloadResult run_md(bool smoke, int reps, const MachineConfig& cfg, bool sim =
 }
 
 // ---------------------------------------------------------------------------
-// Edge-specialization comparison (concert-analyze): each kernel under Hybrid1
-// with call-site specialization off vs on, same workload and engine. Hybrid1
-// degrades every unlocked method to the CP interface, so this isolates what
-// winning the NB stack convention back on refined edges is worth in real time.
-// ---------------------------------------------------------------------------
-
-struct SpecDelta {
-  std::string name;
-  double off_best_s = 0.0;
-  double on_best_s = 0.0;
-  std::uint64_t spec_nb_calls = 0;  ///< per rep, from the specialized run
-  /// Positive = specialization made the kernel faster by this fraction.
-  double delta() const {
-    return off_best_s > 0 ? (off_best_s - on_best_s) / off_best_s : 0.0;
-  }
-};
-
-std::vector<SpecDelta> run_spec_comparison(bool smoke, int reps) {
-  MachineConfig off = wallclock_config();
-  off.mode = ExecMode::Hybrid1;
-  MachineConfig on = off;
-  on.specialize_edges = true;
-
-  using Runner = WorkloadResult (*)(bool, int, const MachineConfig&, bool);
-  const std::pair<const char*, Runner> kernels[] = {
-      {"sor", run_sor}, {"em3d", run_em3d}, {"mdforce", run_md}};
-  std::vector<SpecDelta> deltas;
-  for (const auto& [name, runner] : kernels) {
-    SpecDelta d;
-    d.name = name;
-    d.off_best_s = runner(smoke, reps, off, /*sim=*/false).best_wall_s;
-    const WorkloadResult r_on = runner(smoke, reps, on, /*sim=*/false);
-    d.on_best_s = r_on.best_wall_s;
-    d.spec_nb_calls = r_on.spec_nb_calls;
-    deltas.push_back(d);
-  }
-  return deltas;
-}
-
-// ---------------------------------------------------------------------------
 // Merged-wave comparison: each kernel under Hybrid3 with merge_waves off vs
 // on, same workload and engine. This isolates what batching homogeneous
 // invocation runs into one dispatch (plus bundled replies) is worth in real
@@ -510,7 +468,7 @@ struct CritFracs {
 };
 
 void write_json(const std::string& path, const std::vector<WorkloadResult>& results,
-                const std::vector<SpecDelta>& spec, const std::vector<MergeDelta>& merge,
+                const std::vector<MergeDelta>& merge,
                 bool smoke, int reps, bool merged_main, const CritFracs& crit) {
   std::ofstream os(path);
   CONCERT_CHECK(os.good(), "cannot write " << path);
@@ -549,14 +507,6 @@ void write_json(const std::string& path, const std::vector<WorkloadResult>& resu
          << ", \"invoke_latency_p99_ns\": " << r.lat_p99_ns;
     }
     os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"spec_comparison\": [\n";
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    const SpecDelta& d = spec[i];
-    os << "    {\"name\": \"" << d.name << "\", \"mode\": \"Hybrid1\""
-       << ", \"off_best_wall_s\": " << d.off_best_s << ", \"on_best_wall_s\": " << d.on_best_s
-       << ", \"spec_nb_calls\": " << d.spec_nb_calls
-       << ", \"speedup_frac\": " << d.delta() << "}" << (i + 1 < spec.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"merge_comparison\": [\n";
   for (std::size_t i = 0; i < merge.size(); ++i) {
@@ -803,16 +753,6 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  const std::vector<SpecDelta> spec = run_spec_comparison(smoke, reps);
-  bench::print_caption("Edge specialization under Hybrid1 (off vs on)");
-  TablePrinter st({"kernel", "off best (s)", "on best (s)", "spec-NB calls", "speedup"});
-  for (const SpecDelta& d : spec) {
-    st.add_row({d.name, fmt_double(d.off_best_s, 4), fmt_double(d.on_best_s, 4),
-                std::to_string(d.spec_nb_calls),
-                fmt_double(d.delta() * 100.0, 1) + "%"});
-  }
-  st.print(std::cout);
-
   const std::vector<MergeDelta> merged = run_merge_comparison(smoke, reps, cfg);
   bench::print_caption("Merged-wave dispatch under Hybrid3 (off vs on)");
   TablePrinter mt({"kernel", "off best (s)", "on best (s)", "off inv/s", "on inv/s", "avg wave",
@@ -829,7 +769,7 @@ int main(int argc, char** argv) {
   // bucket fractions land in the same BENCH_wallclock.json.
   CritFracs crit;
   if (trace) crit = run_traced_sor(metrics);
-  write_json(json_path, results, spec, merged, smoke, reps, merge, crit);
+  write_json(json_path, results, merged, smoke, reps, merge, crit);
   std::cout << "\nwrote " << json_path << "\n";
 
   if (sites) run_sites_sor();

@@ -148,17 +148,7 @@ bool Frame::call(MethodId callee, GlobalRef target, const Value* args, std::size
                  SlotId slot, Value* out) {
   nd_.verifier.record_call(method_, callee);
   const DispatchEntry& de = nd_.dispatch(callee);
-  Schema schema = de.schema;
-  // Call-site specialization (concert-analyze): this specific edge was proved
-  // site-NB by the registry's per-edge refinement, so the site binds the NB
-  // convention even though the callee's global interface is more general —
-  // no CallerInfo setup, NB call cost, no fallback linkage. The locality /
-  // lock divert below is unaffected (it precedes the convention in both the
-  // specialized and general code paths).
-  if (schema != Schema::NonBlocking && nd_.site_specialized(method_, callee)) {
-    schema = Schema::NonBlocking;
-    ++nd_.stats.spec_stack_calls;
-  }
+  const Schema schema = de.schema;
   charge_seq_call(nd_, schema);
 
   const bool is_remote = target.valid() && target.node != nd_.id();
@@ -435,13 +425,7 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
     return;
   }
 
-  Schema schema = de.schema;
-  // Edge specialization applies from parallel callers too: the declared edge
-  // is the same one the site fixpoint proved NB-bindable.
-  if (schema != Schema::NonBlocking && nd_.site_specialized(ctx_.method, callee)) {
-    schema = Schema::NonBlocking;
-    ++nd_.stats.spec_stack_calls;
-  }
+  const Schema schema = de.schema;
   charge_seq_call(nd_, schema);
   const bool runnable_here = nd_.local_and_unlocked(target);
   const bool injected =

@@ -158,15 +158,6 @@ struct MethodInfo : MethodDecl {
   Schema schema = Schema::NonBlocking;
   bool may_block = false;
   bool needs_continuation = false;
-  /// Site-sensitive refinement (concert-analyze): an invocation arriving
-  /// through a declared plain-call edge provably completes on the caller's
-  /// stack. Differs from !may_block exactly when the method's only blocking
-  /// cause is inherited forward-target CP-ness.
-  bool site_nonblocking = true;
-  /// Plain call edges of this method that can bind the NB convention at the
-  /// site: callees that are site_nonblocking and not forwarding targets of
-  /// this method. Sorted, deduplicated; filled by analyze_schemas.
-  std::vector<MethodId> nb_site_callees;
 };
 
 /// Number of ExecMode values (dispatch tables are built per mode).
@@ -192,13 +183,6 @@ struct DispatchEntry {
   std::uint8_t multi_return = 1;
   std::uint16_t arg_count = 0;
   std::uint16_t frame_slots = 0;
-  /// Call-site specialization span: this method's site-specializable callees
-  /// occupy [spec_begin, spec_begin + spec_count) of the mode's spec-callee
-  /// array (MethodRegistry::spec_table). Zero when specialization is off or
-  /// no edge of this caller qualifies, so the invoke fast path pays exactly
-  /// one branch for the feature's existence.
-  std::uint32_t spec_begin = 0;
-  std::uint16_t spec_count = 0;
 };
 
 class MethodRegistry {
@@ -236,22 +220,6 @@ class MethodRegistry {
   /// Stable for the registry's lifetime once sealed.
   const DispatchEntry* dispatch_table(ExecMode mode) const;
 
-  /// Enables call-site-sensitive schema specialization (concert-analyze):
-  /// seal() then materializes, per mode, the flat array of site-specializable
-  /// callees that DispatchEntry::{spec_begin, spec_count} index into, and
-  /// invoke binds the NB convention on those edges. Must be called before
-  /// seal(); off by default so every pre-existing run is bit-identical.
-  void set_site_specialization(bool on) {
-    CONCERT_CHECK(!finalized_, "set_site_specialization after seal()");
-    specialize_ = on;
-  }
-  bool site_specialization() const { return specialize_; }
-
-  /// The flat spec-callee array for `mode` (see set_site_specialization), or
-  /// nullptr when specialization is disabled or the mode has no specializable
-  /// edge (ParallelOnly never consults schemas and always gets nullptr).
-  const MethodId* spec_table(ExecMode mode) const;
-
   const MethodInfo& info(MethodId m) const;
   std::size_t size() const { return methods_.size(); }
 
@@ -279,9 +247,7 @@ class MethodRegistry {
  private:
   std::vector<MethodInfo> methods_;
   std::vector<DispatchEntry> dispatch_[kExecModeCount];  ///< Built by seal().
-  std::vector<MethodId> spec_callees_[kExecModeCount];   ///< Spec spans (seal()).
   bool finalized_ = false;
-  bool specialize_ = false;
 };
 
 }  // namespace concert

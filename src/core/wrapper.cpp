@@ -157,11 +157,8 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
     }
   }
 
-  // The exported interface deliberately keeps the *global* effective schema:
-  // an invocation arriving here (a wrapper, a message handler) carries no
-  // caller identity, so there is no declared edge to specialize — which is
-  // exactly what makes the per-edge refinement in Frame::call *call-site*
-  // sensitive rather than a blanket schema downgrade.
+  // The exported interface binds the callee's effective schema, exactly as
+  // Frame::call does for a plain call.
   const Schema schema = de.schema;
   charge_seq_call(nd, schema);
   ++nd.stats.stack_calls;

@@ -13,9 +13,6 @@ namespace concert {
 Machine::Machine(std::size_t nodes, MachineConfig config)
     : config_(config), trace_epoch_(Tracer::Clock::now()) {
   CONCERT_CHECK(nodes > 0, "machine needs at least one node");
-  // The registry must know before seal() whether to materialize spec spans
-  // (apps declare + finalize against this machine's registry afterwards).
-  registry_.set_site_specialization(config_.specialize_edges);
   nodes_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(i), *this));
@@ -175,7 +172,6 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
   const std::pair<const char*, std::uint64_t> counters[] = {
       {"concert_stack_calls_total", t.stack_calls},
       {"concert_stack_completions_total", t.stack_completions},
-      {"concert_spec_stack_calls_total", t.spec_stack_calls},
       {"concert_fallbacks_total", t.fallbacks},
       {"concert_heap_invokes_total", t.heap_invokes},
       {"concert_local_invokes_total", t.local_invokes},

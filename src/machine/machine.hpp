@@ -81,12 +81,6 @@ struct MachineConfig {
   /// computer-on-a-multicomputer placement. Off by default; a no-op on
   /// platforms without affinity support and in the deterministic engine.
   bool pin_threads = false;
-  /// Call-site-sensitive schema specialization (concert-analyze): seal() also
-  /// materializes per-edge NB-at-site annotations and the invoke fast path
-  /// binds the NB convention on edges the site fixpoint proved cannot leave
-  /// the caller's stack. Off by default — with it off, dispatch tables, spec
-  /// spans and therefore every simulated clock are bit-identical to the seed.
-  bool specialize_edges = false;
   /// Delivery-order shuffle (concert-race; deterministic engine only): when
   /// nonzero, SimNetwork picks a seeded pseudo-random message among all
   /// channel-FIFO-eligible deliveries (deliver_at within the receiver's

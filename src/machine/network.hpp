@@ -60,7 +60,9 @@ class SimNetwork {
     }
   };
 
-  const CostModel& costs_;
+  /// A copy, not a reference: callers may pass a temporary, and the
+  /// machine's cost model never changes after construction.
+  CostModel costs_;
   std::size_t nnodes_;
   /// Per-destination min-heaps (std::push_heap/pop_heap over a plain vector,
   /// so pop can *move* the message out instead of copying off top()).

@@ -37,7 +37,6 @@ void Node::bind_dispatch() {
   CONCERT_CHECK(reg.finalized(), "dispatch before registry seal()");
   dispatch_ = reg.dispatch_table(mode());
   dispatch_size_ = reg.size();
-  spec_ = reg.site_specialization() ? reg.spec_table(mode()) : nullptr;
 }
 
 Context& Node::alloc_context(MethodId m) {

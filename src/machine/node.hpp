@@ -107,23 +107,6 @@ class Node {
     return dispatch_[m];
   }
 
-  /// Call-site specialization probe (concert-analyze): true when the declared
-  /// edge caller -> callee may bind the NB convention at the site under this
-  /// machine's mode. One null check when the feature is off; a short scan of
-  /// the caller's spec span when on. Disabled wholesale while the block
-  /// injector is active — injected blocks would force a "provably
-  /// non-blocking" callee through the fallback path a specialized site no
-  /// longer compiles in.
-  bool site_specialized(MethodId caller, MethodId callee) {
-    if (spec_ == nullptr || caller == kInvalidMethod) return false;
-    if (injector_.enabled()) return false;
-    const DispatchEntry& ce = dispatch(caller);
-    const MethodId* p = spec_ + ce.spec_begin;
-    for (const MethodId* e = p + ce.spec_count; p != e; ++p) {
-      if (*p == callee) return true;
-    }
-    return false;
-  }
   const CostModel& costs() const;
   ExecMode mode() const;
   FallbackPolicy fallback_policy() const;
@@ -331,9 +314,6 @@ class Node {
   // Flat dispatch table for this machine's mode; bound on first dispatch().
   const DispatchEntry* dispatch_ = nullptr;
   std::size_t dispatch_size_ = 0;
-  // Flat spec-callee array the dispatch entries' spec spans index into;
-  // nullptr unless MachineConfig::specialize_edges put entries in it.
-  const MethodId* spec_ = nullptr;
   Outbox outbox_;  ///< Staged outgoing messages; touched only by this node's thread.
   /// Recycler for message payload buffers. Acquired by this node's thread on
   /// send, refilled with buffers arriving in delivered messages — symmetric

@@ -2,11 +2,10 @@
 //
 // ROADMAP open item 3 (profile-guided adaptivity) needs a signal the
 // aggregate NodeStats counters cannot give: *which* call edge falls back.
-// `stack_calls`/`fallbacks` say the SOR specialization run regressed; they
-// cannot say whether the regression lives at relax→get_north or
+// `stack_calls`/`fallbacks` say a SOR run fell back more often; they
+// cannot say whether the fallbacks live at relax→get_north or
 // relax→reduce. The SiteProfiler keys every stack speculation by its
-// declared call edge — (caller method, callee method), the same site
-// identity concert-analyze uses for nb_site verdicts — and records
+// declared call edge — (caller method, callee method) — and records
 // invocations, NB-hit/fallback counts, divert counts, and log2 wall-latency
 // histograms for the hit and fallback paths.
 //

@@ -74,8 +74,7 @@ void NodeStats::record_bundle(std::size_t n) {
 std::string NodeStats::summary() const {
   std::ostringstream os;
   os << "invocations: stack=" << stack_calls << " (completed " << stack_completions
-     << ", fell back " << fallbacks << ", spec-NB " << spec_stack_calls
-     << "), heap=" << heap_invokes << ", local=" << local_invokes
+     << ", fell back " << fallbacks << "), heap=" << heap_invokes << ", local=" << local_invokes
      << ", remote=" << remote_invokes << "\n"
      << "contexts: alloc=" << contexts_allocated << " free=" << contexts_freed
      << " suspend=" << suspensions << " resume=" << resumptions << " proxy=" << proxy_contexts

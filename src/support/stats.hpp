@@ -19,7 +19,10 @@ struct NodeStats {
   // Invocation mix.
   std::uint64_t stack_calls = 0;       ///< Sequential invocations begun on the stack.
   std::uint64_t stack_completions = 0; ///< ... of which ran to completion on the stack.
-  std::uint64_t spec_stack_calls = 0;  ///< Call sites bound NB by edge specialization.
+  /// Always 0: every call binds its callee's own schema, so no site is ever
+  /// bound NB against it. Kept because external benchmark harnesses list it
+  /// among the counts they compare between builds.
+  std::uint64_t spec_stack_calls = 0;
   std::uint64_t fallbacks = 0;         ///< Stack invocations that unwound into the heap.
   std::uint64_t heap_invokes = 0;      ///< Invocations that went straight to a heap context.
   std::uint64_t local_invokes = 0;     ///< Invocations whose target object was local.

@@ -135,7 +135,9 @@ TEST(Race, AtomicitySplitsTheDiagnostic) {
   r = verify::analyze_races(methods);
   ASSERT_TRUE(r.flagged(0, 1));
   for (const RacePair& p : r.races) {
-    if (p.a == 0 && p.b == 1) EXPECT_FALSE(p.both_atomic);
+    if (p.a == 0 && p.b == 1) {
+      EXPECT_FALSE(p.both_atomic);
+    }
   }
 
   // ...unless the suspending side holds its object's implicit lock.

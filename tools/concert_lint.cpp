@@ -8,8 +8,6 @@
 //   concert_lint sor em3d        lint a subset
 //   concert_lint --blame         also explain every non-NB classification
 //   concert_lint --deadlock      only the lock-order deadlock diagnostics
-//   concert_lint --specialize    only the edge-specialization diagnostics,
-//                                plus each app's NB-at-site edge list
 //   concert_lint --races         only the concert-race commutativity
 //                                diagnostics (racing pairs)
 //   concert_lint --progress      only the concert-progress reply-obligation
@@ -219,9 +217,8 @@ const std::vector<App>& apps() {
 
 enum PassMask : unsigned {
   kPassDeadlock = 1u << 0,
-  kPassSpecialize = 1u << 1,
-  kPassRaces = 1u << 2,
-  kPassProgress = 1u << 3,
+  kPassRaces = 1u << 1,
+  kPassProgress = 1u << 2,
   kPassAll = ~0u,
 };
 
@@ -229,15 +226,13 @@ unsigned pass_of(LintCode c) {
   switch (c) {
     case LintCode::SelfDeadlock:
     case LintCode::LockOrderCycle: return kPassDeadlock;
-    case LintCode::SpecEdgeInvalid:
-    case LintCode::SpecUnsound: return kPassSpecialize;
     case LintCode::RacingPair:
     case LintCode::NonCommutativeDelivery: return kPassRaces;
     case LintCode::LostReply:
     case LintCode::DoubleReply:
     case LintCode::ForwardLivelock: return kPassProgress;
     default:
-      return kPassAll & ~(kPassDeadlock | kPassSpecialize | kPassRaces | kPassProgress);
+      return kPassAll & ~(kPassDeadlock | kPassRaces | kPassProgress);
   }
 }
 
@@ -263,15 +258,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string method_name(const MethodRegistry& reg, concert::MethodId m) {
-  return m < reg.size() ? reg.info(m).name : std::string("?");
-}
-
 struct AppResult {
   std::string name;
   std::size_t methods = 0;
   std::vector<Diagnostic> shown;  ///< Diagnostics surviving the pass filter.
-  std::vector<std::pair<std::string, std::string>> spec_edges;  ///< caller -> callee names.
   /// Formatted ReplyLedger certificate per CP interface, paired with its
   /// balanced verdict (--progress only).
   std::vector<std::pair<std::string, bool>> ledgers;
@@ -279,7 +269,7 @@ struct AppResult {
   std::size_t warnings = 0;
 };
 
-AppResult lint_app(const App& app, unsigned passes, bool want_spec_edges, bool want_ledgers) {
+AppResult lint_app(const App& app, unsigned passes, bool want_ledgers) {
   MethodRegistry reg;
   app.build(reg);
   reg.finalize();
@@ -295,14 +285,6 @@ AppResult lint_app(const App& app, unsigned passes, bool want_spec_edges, bool w
       ++r.errors;
     } else {
       ++r.warnings;
-    }
-  }
-  if (want_spec_edges) {
-    for (std::size_t i = 0; i < reg.size(); ++i) {
-      const concert::MethodInfo& mi = reg.methods()[i];
-      for (concert::MethodId c : mi.nb_site_callees) {
-        r.spec_edges.emplace_back(mi.name, method_name(reg, c));
-      }
     }
   }
   if (want_ledgers) {
@@ -322,9 +304,6 @@ void print_text(const App& app, const AppResult& r, bool blame) {
   for (const Diagnostic& d : r.shown) {
     std::cout << (d.severity == Severity::Error ? "error" : "warning") << ": ["
               << lint_code_name(d.code) << "] " << d.message << "\n";
-  }
-  for (const auto& [caller, callee] : r.spec_edges) {
-    std::cout << "spec-edge: " << caller << " -> " << callee << " [NB at site]\n";
   }
   for (const auto& [line, balanced] : r.ledgers) {
     (void)balanced;  // the verdict is embedded in the formatted line
@@ -355,15 +334,6 @@ void print_json(const std::vector<AppResult>& results, int total_errors) {
                 << "\", \"message\": \"" << json_escape(d.message) << "\"}";
     }
     std::cout << (r.shown.empty() ? "]" : "\n      ]");
-    if (!r.spec_edges.empty()) {
-      std::cout << ",\n      \"spec_edges\": [";
-      for (std::size_t i = 0; i < r.spec_edges.size(); ++i) {
-        std::cout << (i ? "," : "") << "\n        {\"caller\": \""
-                  << json_escape(r.spec_edges[i].first) << "\", \"callee\": \""
-                  << json_escape(r.spec_edges[i].second) << "\"}";
-      }
-      std::cout << "\n      ]";
-    }
     if (!r.ledgers.empty()) {
       std::cout << ",\n      \"progress_ledgers\": [";
       for (std::size_t i = 0; i < r.ledgers.size(); ++i) {
@@ -392,8 +362,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (std::strcmp(argv[i], "--deadlock") == 0) {
       passes |= kPassDeadlock;
-    } else if (std::strcmp(argv[i], "--specialize") == 0) {
-      passes |= kPassSpecialize;
     } else if (std::strcmp(argv[i], "--races") == 0) {
       passes |= kPassRaces;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
@@ -402,14 +370,13 @@ int main(int argc, char** argv) {
       for (const App& app : apps()) std::cout << app.name << "\n";
       return 0;
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      std::cout << "usage: concert_lint [--blame] [--json] [--deadlock] [--specialize] "
+      std::cout << "usage: concert_lint [--blame] [--json] [--deadlock] "
                    "[--races] [--progress] [--list] [app...]\n";
       return 0;
     } else {
       wanted.emplace_back(argv[i]);
     }
   }
-  const bool want_spec_edges = (passes & kPassSpecialize) != 0;
   const bool want_ledgers = (passes & kPassProgress) != 0;
   if (passes == 0) passes = kPassAll;
 
@@ -421,7 +388,7 @@ int main(int argc, char** argv) {
                        std::find(wanted.begin(), wanted.end(), app.name) != wanted.end();
     if (wanted.empty() ? !app.in_default_sweep : !named) continue;
     matched_any = true;
-    AppResult r = lint_app(app, passes, want_spec_edges, want_ledgers);
+    AppResult r = lint_app(app, passes, want_ledgers);
     errors += static_cast<int>(r.errors);
     if (json) {
       results.push_back(std::move(r));
