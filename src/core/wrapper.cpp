@@ -157,8 +157,6 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
     }
   }
 
-  // The exported interface binds the callee's effective schema, exactly as
-  // Frame::call does for a plain call.
   const Schema schema = de.schema;
   charge_seq_call(nd, schema);
   ++nd.stats.stack_calls;

@@ -19,9 +19,9 @@ struct NodeStats {
   // Invocation mix.
   std::uint64_t stack_calls = 0;       ///< Sequential invocations begun on the stack.
   std::uint64_t stack_completions = 0; ///< ... of which ran to completion on the stack.
-  /// Always 0: every call binds its callee's own schema, so no site is ever
-  /// bound NB against it. Kept because external benchmark harnesses list it
-  /// among the counts they compare between builds.
+  /// Always 0: every call binds its callee's own schema, so no call site is
+  /// bound NB against it. Kept because perfbench's guarded-count table names
+  /// it and compares it between builds.
   std::uint64_t spec_stack_calls = 0;
   std::uint64_t fallbacks = 0;         ///< Stack invocations that unwound into the heap.
   std::uint64_t heap_invokes = 0;      ///< Invocations that went straight to a heap context.
