@@ -133,6 +133,69 @@ TEST(Registry, EffectiveSchemaUnderHybrid1) {
   EXPECT_EQ(reg.effective_schema(leaf, ExecMode::SeqOpt), Schema::NonBlocking);
 }
 
+TEST(Registry, Hybrid1ExemptsLockedAndMultiReturnMethods) {
+  // The "1 interface" configuration degrades a method to CP only where the
+  // CP convention can express it: an implicit lock is released by MB/NB
+  // completion, and CP carries a single reply value.
+  MethodRegistry reg;
+  const MethodId blocker = reg.declare(decl("blocker", /*blocks=*/true));
+  MethodDecl lk = decl("locked");
+  lk.locks_self = true;
+  lk.class_id = 1;
+  const MethodId locked = reg.declare(std::move(lk));
+  MethodDecl pair = decl("pair");
+  pair.multi_return = 2;
+  const MethodId two = reg.declare(std::move(pair));
+  reg.finalize();
+  EXPECT_EQ(reg.schema(blocker), Schema::MayBlock);
+  EXPECT_EQ(reg.effective_schema(blocker, ExecMode::Hybrid1), Schema::ContinuationPassing);
+  for (MethodId m : {locked, two}) {
+    EXPECT_NE(reg.schema(m), Schema::ContinuationPassing) << reg.info(m).name;
+    EXPECT_EQ(reg.effective_schema(m, ExecMode::Hybrid1), reg.schema(m)) << reg.info(m).name;
+  }
+}
+
+TEST(Registry, DispatchTableBindsEffectiveSchemaInEveryMode) {
+  // A call site takes its convention from the mode's dispatch row and from
+  // nowhere else, so every row must carry effective_schema(m, mode) and the
+  // method's declared code and shape.
+  MethodRegistry reg;
+  reg.declare(decl("leaf"));
+  reg.declare(decl("blocker", /*blocks=*/true));
+  reg.declare(decl("store", false, /*uses_cont=*/true));
+  MethodDecl lk = decl("locked");
+  lk.locks_self = true;
+  lk.class_id = 1;
+  reg.declare(std::move(lk));
+  MethodDecl pair = decl("pair");
+  pair.multi_return = 2;
+  pair.arg_count = 3;
+  pair.frame_slots = 4;
+  reg.declare(std::move(pair));
+  reg.finalize();
+  for (std::size_t i = 0; i < kExecModeCount; ++i) {
+    const ExecMode mode = static_cast<ExecMode>(i);
+    const DispatchEntry* tab = reg.dispatch_table(mode);
+    for (MethodId m = 0; m < reg.size(); ++m) {
+      const MethodInfo& mi = reg.info(m);
+      const DispatchEntry& e = tab[m];
+      EXPECT_EQ(e.schema, reg.effective_schema(m, mode)) << mi.name << " mode " << i;
+      EXPECT_TRUE(e.seq == mi.seq && e.par == mi.par) << mi.name;
+      EXPECT_EQ(e.locks_self, mi.locks_self) << mi.name;
+      EXPECT_EQ(e.multi_return, mi.multi_return) << mi.name;
+      EXPECT_EQ(e.arg_count, mi.arg_count) << mi.name;
+      EXPECT_EQ(e.frame_slots, mi.frame_slots) << mi.name;
+    }
+  }
+}
+
+TEST(Registry, DispatchRowsPackTwoPerCacheLine) {
+  // The invoke fast path loads one row per call; at 32 bytes on a 64-bit
+  // host (three code pointers plus 8 bytes of facts), neighbouring methods
+  // share a 64-byte line.
+  EXPECT_LE(2 * sizeof(DispatchEntry), 64u);
+}
+
 TEST(Registry, DeclareAfterFinalizeRejected) {
   MethodRegistry reg;
   reg.declare(decl("m"));

@@ -51,6 +51,16 @@ TEST(LintCli, UnknownAppExitsTwo) {
   EXPECT_NE(r.out.find("no app matched"), std::string::npos) << r.out;
 }
 
+TEST(LintCli, UnknownOptionExitsTwo) {
+  // A flag the tool does not know (here the retired --specialize) is a usage
+  // error even when a real app is named beside it, not an app name that
+  // matches nothing while the rest of the run goes ahead.
+  const RunResult r = run_lint("--specialize sor");
+  EXPECT_EQ(r.exit_code, 2) << r.out;
+  EXPECT_NE(r.out.find("unknown option --specialize"), std::string::npos) << r.out;
+  EXPECT_EQ(run_lint("--bogus").exit_code, 2);
+}
+
 TEST(LintCli, ListAndHelpExitZero) {
   const RunResult list = run_lint("--list");
   EXPECT_EQ(list.exit_code, 0);

@@ -22,6 +22,18 @@ TEST(SimNetwork, DeliversAfterLatency) {
   EXPECT_EQ(net.in_flight(), 0u);
 }
 
+TEST(SimNetwork, KeepsItsOwnCostModel) {
+  // The network copies the cost model it is built with: changing (or
+  // destroying) the caller's object afterwards must not move delivery times.
+  CostModel costs = CostModel::workstation();
+  const std::uint64_t latency = costs.wire_latency;
+  SimNetwork net(2, costs);
+  costs.wire_latency = 1000000;
+  net.inject(mk(0, 1, 1), /*sender_clock=*/1000);
+  EXPECT_GE(net.earliest_for(1), 1000 + latency);
+  EXPECT_LT(net.earliest_for(1), 1000 + costs.wire_latency);
+}
+
 TEST(SimNetwork, FifoPerChannelEvenWithClockSkew) {
   SimNetwork net(2, CostModel::workstation());
   // Second message sent "earlier" on the sender clock (can't happen for a

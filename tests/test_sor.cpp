@@ -74,6 +74,24 @@ TEST(SorHybridWin, HybridBeatsParallelOnlyOnBlockyLayout) {
   EXPECT_LT(hybrid.machine->max_clock(), par.machine->max_clock());
 }
 
+TEST(SorHybridWin, ThreeInterfacesBeatOne) {
+  // Table 4's "1 interface" column: Hybrid1 binds the CP convention at every
+  // unlocked call, so cells that Hybrid3 completes on the stack as NB leave
+  // heap contexts behind. The traffic is the same; the contexts and the
+  // finish time are not.
+  const sor::Params p{32, 2, 8, 2};
+  SorRun h3(p, ExecMode::Hybrid3);
+  SorRun h1(p, ExecMode::Hybrid1);
+  ASSERT_TRUE(sor::run(*h3.machine, h3.ids, h3.world));
+  ASSERT_TRUE(sor::run(*h1.machine, h1.ids, h1.world));
+  EXPECT_EQ(sor::extract(*h3.machine, h3.world), sor::extract(*h1.machine, h1.world));
+  const NodeStats s3 = h3.machine->total_stats();
+  const NodeStats s1 = h1.machine->total_stats();
+  EXPECT_EQ(s3.msgs_sent, s1.msgs_sent);
+  EXPECT_LT(s3.contexts_allocated, s1.contexts_allocated);
+  EXPECT_LT(h3.machine->max_clock(), h1.machine->max_clock());
+}
+
 TEST(SorFigure9, ContextsOnlyOnTilePerimeter) {
   // block=8 on a 2x2 node grid, 32x32 grid: each node owns 8x8 tiles; a
   // tile's interior cells (6x6 of each 8x8) complete on the stack; fallbacks

@@ -578,5 +578,52 @@ TEST(Sanitizer, ShippedAppRunsCleanUnderVerify) {
   EXPECT_GT(report.totals.calls, 0u);
 }
 
+// SOR on both engines in every table mode with the sanitizer on. Each call
+// binds its callee's effective schema from the mode's dispatch table, so the
+// NB/MB/CP checks judge exactly the convention that ran; the result must stay
+// exact and the run conformant whichever engine and mode produced it.
+class SorUnderVerify : public ::testing::TestWithParam<std::tuple<bool, ExecMode>> {};
+
+TEST_P(SorUnderVerify, ExactAndConformant) {
+  const auto [threaded, mode] = GetParam();
+  const sor::Params p{12, 2, 2, 2};
+  MachineConfig cfg = test_config(mode, CostModel::cm5());
+  cfg.verify = true;
+  std::unique_ptr<Machine> m;
+  if (threaded) {
+    m = std::make_unique<ThreadedMachine>(p.nodes(), cfg);
+  } else {
+    m = std::make_unique<SimMachine>(p.nodes(), cfg);
+  }
+  const sor::Ids ids = sor::register_sor(m->registry(), p);
+  m->registry().finalize();
+  sor::World world = sor::build(*m, ids, p);
+  ASSERT_TRUE(sor::run(*m, ids, world));
+
+  const auto got = sor::extract(*m, world);
+  const auto want = sor::reference(p);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_DOUBLE_EQ(got[k], want[k]) << "cell " << k;
+  }
+  const verify::ConformanceReport report = verify::check_conformance(*m);
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_GT(report.totals.calls, 0u);
+  EXPECT_EQ(m->live_contexts(), 0u);
+  // No call path bypasses the callee's schema, so this counter never moves.
+  EXPECT_EQ(m->total_stats().spec_stack_calls, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndModes, SorUnderVerify,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(ExecMode::Hybrid3, ExecMode::Hybrid1,
+                                                            ExecMode::ParallelOnly)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, ExecMode>>& info) {
+      const char* mode = "ParallelOnly";
+      if (std::get<1>(info.param) == ExecMode::Hybrid3) mode = "Hybrid3";
+      if (std::get<1>(info.param) == ExecMode::Hybrid1) mode = "Hybrid1";
+      return std::string(std::get<0>(info.param) ? "Threaded" : "Sim") + mode;
+    });
+
 }  // namespace
 }  // namespace concert

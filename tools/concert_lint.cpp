@@ -373,6 +373,11 @@ int main(int argc, char** argv) {
       std::cout << "usage: concert_lint [--blame] [--json] [--deadlock] "
                    "[--races] [--progress] [--list] [app...]\n";
       return 0;
+    } else if (argv[i][0] == '-') {
+      // An unknown flag must not fall through as an app name: with another
+      // app named beside it, the run would silently ignore the flag.
+      std::cerr << "concert_lint: unknown option " << argv[i] << "; try --help\n";
+      return 2;
     } else {
       wanted.emplace_back(argv[i]);
     }
